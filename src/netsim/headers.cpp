@@ -13,28 +13,12 @@ void put_mac(ByteWriter& w, MacAddr mac) {
     }
 }
 
-MacAddr get_mac(ByteReader& r) {
-    MacAddr mac = 0;
-    for (int i = 0; i < 6; ++i) {
-        mac = mac << 8 | r.get_u8();
-    }
-    return mac;
-}
-
 }  // namespace
 
 void EthernetHeader::serialize(ByteWriter& w) const {
     put_mac(w, dst);
     put_mac(w, src);
     w.put_u16(ethertype);
-}
-
-EthernetHeader EthernetHeader::parse(ByteReader& r) {
-    EthernetHeader h;
-    h.dst = get_mac(r);
-    h.src = get_mac(r);
-    h.ethertype = r.get_u16();
-    return h;
 }
 
 void Ipv4Header::serialize(ByteWriter& w) const {
@@ -50,37 +34,11 @@ void Ipv4Header::serialize(ByteWriter& w) const {
     w.put_u32(dst);
 }
 
-Ipv4Header Ipv4Header::parse(ByteReader& r) {
-    Ipv4Header h;
-    const std::uint8_t ver_ihl = r.get_u8();
-    if (ver_ihl != 0x45) {
-        throw BufferError{"Ipv4Header: unsupported version/IHL"};
-    }
-    h.ecn = r.get_u8() & 0x03;  // DSCP ignored, ECN kept
-    h.total_length = r.get_u16();
-    r.skip(4);  // id + flags/frag
-    h.ttl = r.get_u8();
-    h.protocol = r.get_u8();
-    r.skip(2);  // checksum
-    h.src = r.get_u32();
-    h.dst = r.get_u32();
-    return h;
-}
-
 void UdpHeader::serialize(ByteWriter& w) const {
     w.put_u16(src_port);
     w.put_u16(dst_port);
     w.put_u16(length);
     w.put_u16(0);  // checksum (not modelled)
-}
-
-UdpHeader UdpHeader::parse(ByteReader& r) {
-    UdpHeader h;
-    h.src_port = r.get_u16();
-    h.dst_port = r.get_u16();
-    h.length = r.get_u16();
-    r.skip(2);
-    return h;
 }
 
 void TcpHeader::serialize(ByteWriter& w) const {
@@ -93,22 +51,6 @@ void TcpHeader::serialize(ByteWriter& w) const {
     w.put_u16(window);
     w.put_u16(0);  // checksum
     w.put_u16(0);  // urgent pointer
-}
-
-TcpHeader TcpHeader::parse(ByteReader& r) {
-    TcpHeader h;
-    h.src_port = r.get_u16();
-    h.dst_port = r.get_u16();
-    h.seq = r.get_u32();
-    h.ack = r.get_u32();
-    const std::uint8_t offset = r.get_u8();
-    if (offset != 0x50) {
-        throw BufferError{"TcpHeader: options not supported"};
-    }
-    h.flags = r.get_u8();
-    h.window = r.get_u16();
-    r.skip(4);  // checksum + urgent
-    return h;
 }
 
 FrameBuf build_udp_frame(HostAddr src, HostAddr dst,
@@ -176,39 +118,23 @@ inline MacAddr load_mac(const std::byte* p) noexcept {
     return mac;
 }
 
-std::optional<ParsedFrame> parse_frame_compat(std::span<const std::byte> frame) {
-    ByteReader r{frame};
-    ParsedFrame out;
-    out.eth = EthernetHeader::parse(r);
-    if (out.eth.ethertype != kEtherTypeIpv4) return std::nullopt;
-    out.ip = Ipv4Header::parse(r);
-    if (out.ip.protocol == kIpProtoUdp) {
-        out.udp = UdpHeader::parse(r);
-    } else if (out.ip.protocol == kIpProtoTcp) {
-        out.tcp = TcpHeader::parse(r);
-    }
-    out.payload_offset = r.position();
-    return out;
-}
-
 }  // namespace
 
 std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
-    if (fastpath_compat()) return parse_frame_compat(frame);
-    // Fast path: this runs once per frame per hop, so it replaces the
-    // per-field bounds-checked ByteReader with one size check per layer
-    // and direct big-endian loads. Outcomes (headers, payload offset,
-    // nullopt and BufferError cases) are identical to the compat path.
+    // The one header parser. It runs once per frame per hop, so it makes
+    // one size check per layer and loads big-endian fields directly.
+    // Headers.TruncatedFrameThrows pins the outcome (headers, payload
+    // offset or BufferError) for every prefix of a frame.
     const std::byte* p = frame.data();
     const std::size_t n = frame.size();
-    if (n < EthernetHeader::kSize) throw BufferError{"ByteReader: out of bounds"};
+    if (n < EthernetHeader::kSize) throw BufferError{"parse_frame: truncated frame"};
     ParsedFrame out;
     out.eth.dst = load_mac(p);
     out.eth.src = load_mac(p + 6);
     out.eth.ethertype = load_be16(p + 12);
     if (out.eth.ethertype != kEtherTypeIpv4) return std::nullopt;
     constexpr std::size_t kIpEnd = EthernetHeader::kSize + Ipv4Header::kSize;
-    if (n < kIpEnd) throw BufferError{"ByteReader: out of bounds"};
+    if (n < kIpEnd) throw BufferError{"parse_frame: truncated frame"};
     if (p[14] != std::byte{0x45}) {
         throw BufferError{"Ipv4Header: unsupported version/IHL"};
     }
@@ -221,7 +147,7 @@ std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
     out.payload_offset = kIpEnd;
     if (out.ip.protocol == kIpProtoUdp) {
         if (n < kIpEnd + UdpHeader::kSize) {
-            throw BufferError{"ByteReader: out of bounds"};
+            throw BufferError{"parse_frame: truncated frame"};
         }
         UdpHeader udp;
         udp.src_port = load_be16(p + kIpEnd);
@@ -231,7 +157,7 @@ std::optional<ParsedFrame> parse_frame(std::span<const std::byte> frame) {
         out.payload_offset = kIpEnd + UdpHeader::kSize;
     } else if (out.ip.protocol == kIpProtoTcp) {
         if (n < kIpEnd + TcpHeader::kSize) {
-            throw BufferError{"ByteReader: out of bounds"};
+            throw BufferError{"parse_frame: truncated frame"};
         }
         TcpHeader tcp;
         tcp.src_port = load_be16(p + kIpEnd);

@@ -34,7 +34,6 @@ struct EthernetHeader {
     std::uint16_t ethertype{kEtherTypeIpv4};
 
     void serialize(ByteWriter& w) const;
-    static EthernetHeader parse(ByteReader& r);
 };
 
 /// The ECN codepoint in the low two bits of the IPv4 TOS byte.
@@ -59,7 +58,6 @@ struct Ipv4Header {
     }
 
     void serialize(ByteWriter& w) const;
-    static Ipv4Header parse(ByteReader& r);
 };
 
 struct UdpHeader {
@@ -70,7 +68,6 @@ struct UdpHeader {
     std::uint16_t length{0};  ///< UDP header + payload
 
     void serialize(ByteWriter& w) const;
-    static UdpHeader parse(ByteReader& r);
 };
 
 struct TcpHeader {
@@ -93,7 +90,6 @@ struct TcpHeader {
     bool ack_flag() const noexcept { return (flags & kFlagAck) != 0; }
 
     void serialize(ByteWriter& w) const;
-    static TcpHeader parse(ByteReader& r);
 };
 
 /// Fixed per-frame overheads (header bytes in front of the L4 payload).

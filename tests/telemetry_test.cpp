@@ -473,6 +473,13 @@ TEST(ThreeTenants, ConcurrentLossyRunMatchesSerialResults) {
     }
 
     // Concurrent: all three tenant families share the lossy fabric.
+    // Frame acquisitions count every slab handed out, fresh or reused:
+    // a frame copied instead of moved anywhere on the path moves it.
+    const auto frame_acquisitions = [] {
+        const FramePoolStats s = FrameBuf::pool_stats();
+        return s.slab_allocs + s.reuses + s.oversize_allocs;
+    };
+    const std::uint64_t acquisitions0 = frame_acquisitions();
     std::vector<OpSignature> concurrent_kv;
     rt::RoundStats concurrent_agg;
     {
@@ -494,6 +501,14 @@ TEST(ThreeTenants, ConcurrentLossyRunMatchesSerialResults) {
         ASSERT_NE(tor, nullptr);
         EXPECT_GT(tor->stats().kv_gets_sketched, 0u);
         EXPECT_GT(tor->stats().probes_answered, 0u);
+        // Golden cost and schedule of the concurrent run (it exercises
+        // the mux, the claim filter, dense routes, ECMP and the parse
+        // cache). Captured from, and agreed between, the timing-wheel
+        // queue and the std::priority_queue / deep-copy reference before
+        // the reference was retired.
+        EXPECT_EQ(rt.simulator().events_executed(), 7098u);
+        EXPECT_EQ(rt.simulator().now(), 12128477u);
+        EXPECT_EQ(frame_acquisitions() - acquisitions0, 2531u);
     }
 
     // Value determinism: co-tenancy and telemetry polling changed no kv
